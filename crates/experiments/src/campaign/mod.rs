@@ -92,9 +92,9 @@ pub fn scenario_fingerprint(spec: &ScenarioSpec, json: bool) -> u64 {
     enc.put_str("usimt-campaign-fp-v1");
     enc.put_str(spec.name());
     enc.put_bool(json);
-    for scene in raytrace::scenes::all(spec.scale.scene) {
+    for scene in raytrace::scenes::NAMES {
         for variant in crate::configs::Variant::ALL {
-            enc.put_u64(run_fingerprint(&scene, variant, spec.scale));
+            enc.put_u64(run_fingerprint(scene, variant, spec.scale));
         }
     }
     if let Ok(w) = spec.resolve() {

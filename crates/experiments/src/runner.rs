@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 use simt_isa::codec::{fnv1a64, Decoder, Encoder};
 use simt_sim::{ChromeTraceSink, CsvMetricsSink, Gpu, RunSummary, TelemetryReport, TraceSink};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Experiment scale: resolution, simulated-cycle budget, scene size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,16 +112,17 @@ impl fmt::Display for FaultHealth {
 }
 
 /// Deterministic identity of one render-run, for checkpoint/result-cache
-/// keying: FNV-1a-64 over the kernel program bytes, the scene (name and
-/// triangle-count scale), the full [`simt_sim::GpuConfig`], the
-/// [`Scale`], and the active telemetry spec. Two runs share a
-/// fingerprint exactly when they are guaranteed to produce bit-identical
-/// results, so a checkpoint or cached result stamped with a different
-/// fingerprint must never be trusted for this run.
-pub fn run_fingerprint(scene: &Scene, variant: Variant, scale: Scale) -> u64 {
+/// keying: FNV-1a-64 over the kernel program bytes, the scene name (its
+/// triangle-count scale comes from the [`Scale`]), the full
+/// [`simt_sim::GpuConfig`], the [`Scale`], and the active telemetry
+/// spec. Two runs share a fingerprint exactly when they are guaranteed to
+/// produce bit-identical results, so a checkpoint or cached result
+/// stamped with a different fingerprint must never be trusted for this
+/// run.
+pub fn run_fingerprint(scene: &str, variant: Variant, scale: Scale) -> u64 {
     let mut enc = Encoder::new();
     enc.put_str("usimt-run-fp-v1");
-    enc.put_str(scene.name);
+    enc.put_str(scene);
     enc.put_str(&format!("{variant:?}"));
     enc.put_u32(scale.resolution);
     enc.put_u64(scale.cycles);
@@ -135,14 +137,42 @@ pub fn run_fingerprint(scene: &Scene, variant: Variant, scale: Scale) -> u64 {
     enc.put_bool(spec.trace);
     enc.put_u64(spec.metrics_window);
     enc.put_u64(simt_sim::config_digest(&configs::config_for(variant)));
-    let program = if variant.is_dynamic() {
-        rt_kernels::ukernel::program()
+    enc.put_u64(kernel_digest(if variant.is_dynamic() {
+        Kernel::KdUkernel
     } else {
-        rt_kernels::traditional::program()
-    };
-    let digest = simt_sim::program_digest(&program).expect("embedded kernels encode losslessly");
-    enc.put_u64(digest);
+        Kernel::KdTraditional
+    }));
     fnv1a64(&enc.into_bytes())
+}
+
+/// An embedded `rt_kernels` program that job fingerprints fold in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kernel {
+    /// [`rt_kernels::traditional`].
+    KdTraditional,
+    /// [`rt_kernels::ukernel`].
+    KdUkernel,
+    /// [`rt_kernels::pt_traditional`].
+    PtTraditional,
+    /// [`rt_kernels::pt_ukernel`].
+    PtUkernel,
+}
+
+/// [`simt_sim::program_digest`] of an embedded kernel, computed once per
+/// process. The kernels are fixed at build time, and reassembling them
+/// used to dominate every job fingerprint, which serve admission and
+/// every cache probe compute.
+pub(crate) fn kernel_digest(kernel: Kernel) -> u64 {
+    static DIGESTS: [OnceLock<u64>; 4] = [const { OnceLock::new() }; 4];
+    *DIGESTS[kernel as usize].get_or_init(|| {
+        let program = match kernel {
+            Kernel::KdTraditional => rt_kernels::traditional::program(),
+            Kernel::KdUkernel => rt_kernels::ukernel::program(),
+            Kernel::PtTraditional => rt_kernels::pt_traditional::program(),
+            Kernel::PtUkernel => rt_kernels::pt_ukernel::program(),
+        };
+        simt_sim::program_digest(&program).expect("embedded kernels encode losslessly")
+    })
 }
 
 /// Phase bookkeeping stored in each snapshot's meta section so a resumed
@@ -276,7 +306,7 @@ impl RenderRun {
     /// on-disk snapshot, bit-identical to an uninterrupted run.
     pub fn execute(scene: &Scene, variant: Variant, scale: Scale) -> RenderRun {
         let job = format!("{}-{:?}-{}", scene.name, variant, scale.resolution);
-        let fingerprint = run_fingerprint(scene, variant, scale);
+        let fingerprint = run_fingerprint(scene.name, variant, scale);
         let resumed = resume_state(&job, fingerprint);
         let mut interventions = u32::from(resumed.is_some());
         let mut gave_up = false;
@@ -404,27 +434,25 @@ mod tests {
 
     #[test]
     fn run_fingerprint_separates_job_identities() {
-        let conference = scenes::conference(SceneScale::Tiny);
-        let atrium = scenes::atrium(SceneScale::Tiny);
-        let base = run_fingerprint(&conference, Variant::Dynamic, Scale::test());
+        let base = run_fingerprint("conference", Variant::Dynamic, Scale::test());
         assert_eq!(
             base,
-            run_fingerprint(&conference, Variant::Dynamic, Scale::test()),
+            run_fingerprint("conference", Variant::Dynamic, Scale::test()),
             "fingerprint is deterministic"
         );
         assert_ne!(
             base,
-            run_fingerprint(&atrium, Variant::Dynamic, Scale::test()),
+            run_fingerprint("atrium", Variant::Dynamic, Scale::test()),
             "scene must re-key"
         );
         assert_ne!(
             base,
-            run_fingerprint(&conference, Variant::PdomWarp, Scale::test()),
+            run_fingerprint("conference", Variant::PdomWarp, Scale::test()),
             "variant (config + program family) must re-key"
         );
         assert_ne!(
             base,
-            run_fingerprint(&conference, Variant::Dynamic, Scale::quick()),
+            run_fingerprint("conference", Variant::Dynamic, Scale::quick()),
             "scale must re-key"
         );
     }

@@ -59,10 +59,13 @@ use crate::runner::Scale;
 use admission::{ShedCounters, ShedReason, TokenBucket};
 use journal::{Journal, JournalEntry};
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Longest the pump sleeps between passes when no admission wakes it.
+const PUMP_TICK: Duration = Duration::from_millis(10);
 
 /// Serve configuration, built by the `repro serve` argument parser.
 #[derive(Debug, Clone)]
@@ -141,6 +144,9 @@ pub struct Inner {
     pub draining: bool,
     /// True once the accept loop should exit.
     pub stop: bool,
+    /// Set by a fresh admission so the pump spawns its worker at once
+    /// instead of on the next tick; cleared by the pump.
+    pub wake_pump: bool,
     /// This server incarnation (0-based boot count).
     pub incarnation: u64,
     /// Requests admitted (journaled + acked) this incarnation.
@@ -157,6 +163,10 @@ pub struct Shared {
     /// Signaled whenever a job reaches a terminal state (long-poll
     /// wake-up) and on drain.
     pub cv: Condvar,
+    /// Signaled with [`Inner::wake_pump`] set when an admission queues
+    /// new work. Separate from `cv`, so long-poll waiters never see
+    /// these wake-ups.
+    pub pump: Condvar,
 }
 
 impl Shared {
@@ -199,6 +209,9 @@ pub fn admit(shared: &Shared, spec: JobSpec, now: Instant) -> Admission {
     if let Err(e) = spec.scenario.resolve() {
         return Admission::Rejected(e.to_string());
     }
+    // Computed before taking the lock: every admission needs it, and
+    // nothing it reads is shared state.
+    let fingerprint = spec.fingerprint();
     let mut inner = shared.lock();
     if inner.draining {
         inner.sheds.count(ShedReason::Draining);
@@ -214,7 +227,6 @@ pub fn admit(shared: &Shared, spec: JobSpec, now: Instant) -> Admission {
             retry_after_ms: (wait.as_millis() as u64).max(1),
         };
     }
-    let fingerprint = spec.fingerprint();
     // An identical job already admitted (or already terminal) is free:
     // idempotent by fingerprint, no new queue slot, no new journal entry.
     let attached = inner
@@ -251,6 +263,9 @@ pub fn admit(shared: &Shared, spec: JobSpec, now: Instant) -> Admission {
             let warm = inner.coord.jobs()[idx].is_done();
             if warm {
                 shared.cv.notify_all();
+            } else {
+                inner.wake_pump = true;
+                shared.pump.notify_one();
             }
             Admission::Accepted { fingerprint, warm }
         }
@@ -352,9 +367,6 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
     simt_sim::write_atomic(
         &cfg.serve_dir.join("endpoint"),
         format!("{addr}\n").as_bytes(),
@@ -378,10 +390,12 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
             sheds: ShedCounters::default(),
             draining: false,
             stop: false,
+            wake_pump: false,
             incarnation,
             admitted: 0,
         }),
         cv: Condvar::new(),
+        pump: Condvar::new(),
         cfg,
     });
 
@@ -419,12 +433,14 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
         }
     }
 
-    // Accept loop: non-blocking accept, one handler thread per
-    // connection (requests are small and short-lived except long-polls,
-    // which park on the condvar).
+    // Accept loop: blocking accept, one handler thread per connection
+    // (requests are small and short-lived except long-polls, which park
+    // on the condvar). Once the drain completes, the pump sets `stop` and
+    // connects once to wake the blocked `accept`.
     let accept_shared = Arc::clone(&shared);
     let accept_thread = std::thread::spawn(move || loop {
         match listener.accept() {
+            Ok(_) if accept_shared.lock().stop => return,
             Ok((mut stream, _)) => {
                 let shared = Arc::clone(&accept_shared);
                 std::thread::spawn(move || {
@@ -432,12 +448,6 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
                     handlers::handle(&shared, &mut stream);
                 });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if accept_shared.lock().stop {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) => {
                 eprintln!("serve: accept: {e}");
@@ -448,7 +458,9 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
 
     // Pump loop: drive the coordinator, retire journal entries for
     // terminal jobs, honor the chaos crash plan, ingest the drop
-    // directory, and complete drains.
+    // directory, and complete drains. It runs every `PUMP_TICK` (worker
+    // reaping, heartbeats and the drop directory are polled) and at once
+    // when an admission queues new work.
     loop {
         {
             let mut inner = shared.lock();
@@ -491,13 +503,35 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
             }
         }
         ingest_drop_dir(&shared, &drop_dir);
-        std::thread::sleep(Duration::from_millis(10));
+        let inner = shared.lock();
+        let (mut inner, _) = shared
+            .pump
+            .wait_timeout_while(inner, PUMP_TICK, |inner| !inner.wake_pump)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner.wake_pump = false;
     }
+    // Wake the accept loop out of its blocking `accept`. An error means
+    // it already returned (a client connected after `stop` was set) and
+    // dropped the listener.
+    let _ = TcpStream::connect(wake_addr(addr));
     accept_thread
         .join()
         .map_err(|_| "accept thread panicked".to_string())?;
     eprintln!("serve: drained; exiting");
     Ok(())
+}
+
+/// The address that reaches a listener bound to `addr`: the address
+/// itself, or loopback when it is the unspecified (all-interfaces)
+/// address.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Writes the end-of-drain manifest (same format as a batch campaign's).

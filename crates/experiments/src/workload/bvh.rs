@@ -18,9 +18,8 @@
 
 use super::{page, Group, Workload};
 use crate::configs::{gpu_for, Variant};
-use crate::runner::Scale;
+use crate::runner::{kernel_digest, Kernel, Scale};
 use rt_kernels::pt_render::{image_hash, PtSetup};
-use rt_kernels::{pt_traditional, pt_ukernel};
 use simt_isa::codec::Encoder;
 use simt_sim::RunOutcome;
 use std::fmt;
@@ -235,10 +234,8 @@ impl Workload for BvhPathTracer {
     fn extend_fingerprint(&self, enc: &mut Encoder, scale: Scale) {
         enc.put_str("bvh-pt-v1");
         enc.put_u32(resolution(scale));
-        for program in [pt_traditional::program(), pt_ukernel::program()] {
-            enc.put_u64(
-                simt_sim::program_digest(&program).expect("embedded kernels encode losslessly"),
-            );
+        for kernel in [Kernel::PtTraditional, Kernel::PtUkernel] {
+            enc.put_u64(kernel_digest(kernel));
         }
     }
 

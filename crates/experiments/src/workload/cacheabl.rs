@@ -23,7 +23,7 @@
 
 use super::{microdiv, page, Group, Workload};
 use crate::configs::parallelism;
-use crate::runner::Scale;
+use crate::runner::{kernel_digest, Kernel, Scale};
 use rt_kernels::pt_render::{exact_mismatches, image_hash, PtSetup};
 use rt_kernels::render::{compare, RenderSetup};
 use simt_isa::assemble_named;
@@ -349,13 +349,8 @@ impl Workload for CacheAblation {
         enc.put_u32(super::bvh::resolution(scale));
         enc.put_u32(microdiv::threads(scale.scene));
         enc.put_u32(microdiv::trip_cap(scale.scene));
-        for program in [
-            rt_kernels::traditional::program(),
-            rt_kernels::pt_traditional::program(),
-        ] {
-            enc.put_u64(
-                simt_sim::program_digest(&program).expect("embedded kernels encode losslessly"),
-            );
+        for kernel in [Kernel::KdTraditional, Kernel::PtTraditional] {
+            enc.put_u64(kernel_digest(kernel));
         }
         // The ablated memory knobs are part of the figure's identity.
         for level in LEVELS {

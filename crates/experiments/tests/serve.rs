@@ -407,3 +407,34 @@ fn drop_directory_ingress_accepts_and_responds() {
     server.drain();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Both drain doors end an idle server within a few seconds. The
+/// listener blocks in `accept`, so the server must wake it itself: no
+/// client connects after the drain request.
+#[test]
+fn drain_exits_promptly_without_further_connections() {
+    for door in ["http", "drop"] {
+        let dir = temp_dir(&format!("drain-{door}"));
+        let mut server = Server::start(&dir, &[]);
+        let opts = server.opts(&[]);
+        if door == "http" {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            client::request_retry(&opts, "POST", "/drain", "", deadline).expect("drain accepted");
+        } else {
+            std::fs::write(dir.join("drop").join("drain"), "").expect("drain sentinel");
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = server.child.try_wait().expect("server pollable") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{door} drain: server still running 5 s later"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(status.success(), "{door} drain: exit status {status}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -45,6 +45,17 @@ pub enum CodecError {
         /// Bytes remaining in the input.
         remaining: usize,
     },
+    /// A sparse run list held an empty run, a run starting before the
+    /// end of its predecessor (unsorted or overlapping), or a run
+    /// reaching past the container's capacity.
+    BadRun {
+        /// First element index of the offending run.
+        start: u64,
+        /// Element count of the offending run.
+        len: u64,
+        /// Capacity of the container being restored, in elements.
+        capacity: usize,
+    },
     /// A string section was not valid UTF-8.
     BadUtf8,
 }
@@ -60,6 +71,14 @@ impl fmt::Display for CodecError {
             CodecError::BadLength { len, remaining } => write!(
                 f,
                 "length prefix {len} exceeds remaining input ({remaining} bytes)"
+            ),
+            CodecError::BadRun {
+                start,
+                len,
+                capacity,
+            } => write!(
+                f,
+                "run of {len} elements at index {start} is empty, out of order, or past capacity {capacity}"
             ),
             CodecError::BadUtf8 => f.write_str("string section is not valid UTF-8"),
         }

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use simt_isa::codec::{CodecError, Decoder, Encoder};
+use std::ops::Range;
 
 /// Computes the bank-conflict degree of a warp access: the maximum number
 /// of distinct words mapped to any single bank (≥ 1 for a non-empty
@@ -170,30 +171,85 @@ impl OnChipMemory {
 
     /// Serializes the scratchpad contents for a simulator checkpoint (the
     /// bank count is configuration, re-derived on restore).
+    ///
+    /// Shared and spawn memory are mostly zeros, so the layout is sparse:
+    /// the capacity in words, then the maximal runs of non-zero words in
+    /// index order, each as its first word index followed by its
+    /// length-prefixed words. Identical contents always encode to
+    /// identical bytes.
     pub fn encode_state(&self, enc: &mut Encoder) {
-        enc.put_u32_slice(&self.words);
+        let runs = nonzero_runs(&self.words);
+        enc.put_usize(self.words.len());
+        enc.put_usize(runs.len());
+        for run in runs {
+            enc.put_usize(run.start);
+            enc.put_u32_slice(&self.words[run]);
+        }
     }
 
     /// Restores contents previously written by
     /// [`OnChipMemory::encode_state`] into a scratchpad of identical
-    /// geometry.
+    /// geometry. Words outside every run restore as zero.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on truncated input or a
-    /// [`CodecError::BadLength`] when the word count disagrees with this
-    /// scratchpad's capacity.
+    /// Returns a [`CodecError`] on truncated input, a
+    /// [`CodecError::BadLength`] when the encoded capacity disagrees with
+    /// this scratchpad's, and a [`CodecError::BadRun`] for an empty run,
+    /// a run that starts before its predecessor ends, or a run past the
+    /// capacity. On error the contents are left unchanged.
     pub fn restore_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let words = dec.take_u32_vec()?;
-        if words.len() != self.words.len() {
+        let capacity = self.words.len();
+        let encoded = dec.take_u64()?;
+        if encoded != capacity as u64 {
             return Err(CodecError::BadLength {
-                len: words.len() as u64,
-                remaining: self.words.len(),
+                len: encoded,
+                remaining: capacity,
             });
+        }
+        // Each run carries at least its start index and word count.
+        let runs = dec.take_len(8 + 8)?;
+        let mut words = vec![0; capacity];
+        let mut floor = 0u64;
+        for _ in 0..runs {
+            let start = dec.take_u64()?;
+            let len = dec.take_len(4)? as u64;
+            let end = start.saturating_add(len);
+            if len == 0 || start < floor || end > capacity as u64 {
+                return Err(CodecError::BadRun {
+                    start,
+                    len,
+                    capacity,
+                });
+            }
+            for w in &mut words[start as usize..end as usize] {
+                *w = dec.take_u32()?;
+            }
+            floor = end;
         }
         self.words = words;
         Ok(())
     }
+}
+
+/// Maximal runs of non-zero words, in index order.
+fn nonzero_runs(words: &[u32]) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = None;
+    for (i, &w) in words.iter().enumerate() {
+        match (w != 0, start) {
+            (true, None) => start = Some(i),
+            (false, Some(s)) => {
+                runs.push(s..i);
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        runs.push(s..words.len());
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -240,7 +296,142 @@ mod tests {
         assert_eq!(m.read(100 * 4), 7);
     }
 
+    fn encoded(m: &OnChipMemory) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        m.encode_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn restored(words: usize, bytes: &[u8]) -> Result<OnChipMemory, CodecError> {
+        let mut m = OnChipMemory::new(words as u32 * 4, 16);
+        let mut dec = Decoder::new(bytes);
+        m.restore_state(&mut dec)?;
+        assert!(dec.is_finished(), "restore left trailing bytes");
+        Ok(m)
+    }
+
+    /// Runs as (first word index, words).
+    type Runs<'a> = &'a [(u64, &'a [u32])];
+
+    /// Hand-built sparse encoding: `capacity` words, then `runs`.
+    fn sparse_bytes(capacity: u64, runs: Runs<'_>) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u64(capacity);
+        enc.put_usize(runs.len());
+        for (start, words) in runs {
+            enc.put_u64(*start);
+            enc.put_u32_slice(words);
+        }
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn sparse_encoding_skips_zero_words() {
+        let mut m = OnChipMemory::new(64 * 1024, 16);
+        assert_eq!(
+            encoded(&m).len(),
+            16,
+            "an empty scratchpad is capacity + run count"
+        );
+        // Runs touching the first and the last word.
+        m.write(0, 1);
+        m.write(4, 2);
+        m.write(64 * 1024 - 4, 3);
+        let bytes = encoded(&m);
+        assert_eq!(
+            bytes,
+            sparse_bytes(16 * 1024, &[(0, &[1, 2]), (16 * 1024 - 1, &[3])])
+        );
+        assert_eq!(
+            restored(16 * 1024, &bytes).expect("round-trips").words,
+            m.words
+        );
+    }
+
+    #[test]
+    fn capacity_mismatch_is_rejected() {
+        let bytes = encoded(&OnChipMemory::new(128, 16));
+        assert!(matches!(
+            restored(16, &bytes),
+            Err(CodecError::BadLength {
+                len: 32,
+                remaining: 16
+            })
+        ));
+    }
+
+    #[test]
+    fn malformed_runs_are_rejected() {
+        let cases: [(&str, Runs<'_>); 6] = [
+            ("unsorted", &[(8, &[1]), (2, &[1])]),
+            ("overlapping", &[(2, &[1, 1, 1]), (4, &[1])]),
+            ("empty", &[(3, &[])]),
+            ("past capacity", &[(15, &[1, 1])]),
+            ("start past capacity", &[(16, &[1])]),
+            ("start overflows", &[(u64::MAX, &[1])]),
+        ];
+        for (what, runs) in cases {
+            let bytes = sparse_bytes(16, runs);
+            assert!(
+                matches!(restored(16, &bytes), Err(CodecError::BadRun { .. })),
+                "{what} run accepted"
+            );
+        }
+        // The same shapes, well-formed, decode.
+        let ok = sparse_bytes(16, &[(0, &[1]), (1, &[2]), (15, &[3])]);
+        let m = restored(16, &ok).expect("sorted, disjoint, in-range runs decode");
+        assert_eq!((m.read(0), m.read(4), m.read(60)), (1, 2, 3));
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error() {
+        let mut m = OnChipMemory::new(256, 16);
+        for (i, addr) in [0u32, 4, 40, 44, 48, 252].into_iter().enumerate() {
+            m.write(addr, i as u32 + 1);
+        }
+        let bytes = encoded(&m);
+        for len in 0..bytes.len() {
+            assert!(
+                restored(64, &bytes[..len]).is_err(),
+                "truncation to {len} bytes was accepted"
+            );
+        }
+        // A run count larger than the input can hold is refused before
+        // any allocation.
+        let mut liar = bytes.clone();
+        liar[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            restored(64, &liar),
+            Err(CodecError::BadLength { .. })
+        ));
+    }
+
     proptest! {
+        #[test]
+        fn onchip_state_roundtrips(
+            mode in 0u32..3,
+            raw in proptest::collection::vec(any::<u32>(), 1..300),
+        ) {
+            // Mode 0: all zero; 1: all non-zero; 2: sparse (about one word
+            // in four non-zero, so runs start and end anywhere, index 0
+            // and the last word included).
+            let words: Vec<u32> = raw
+                .iter()
+                .map(|&v| match mode {
+                    0 => 0,
+                    1 => v | 1,
+                    _ if v % 4 == 0 => v | 1,
+                    _ => 0,
+                })
+                .collect();
+            let mut m = OnChipMemory::new(words.len() as u32 * 4, 16);
+            for (i, &w) in words.iter().enumerate() {
+                m.write(i as u32 * 4, w);
+            }
+            let back = restored(words.len(), &encoded(&m)).expect("round-trips");
+            prop_assert_eq!(back.words, words);
+        }
+
         #[test]
         fn degree_bounds(addrs in proptest::collection::vec(0u32..65_536, 1..32), banks in 1usize..33) {
             let aligned: Vec<u32> = addrs.iter().map(|a| a & !3).collect();

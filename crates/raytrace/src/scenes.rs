@@ -263,6 +263,9 @@ pub fn conference(scale: SceneScale) -> Scene {
     }
 }
 
+/// Names of the three benchmark scenes, in the order [`all`] returns them.
+pub const NAMES: [&str; 3] = ["fairyforest", "atrium", "conference"];
+
 /// All three benchmark scenes at `scale`, in the paper's Table III order.
 pub fn all(scale: SceneScale) -> Vec<Scene> {
     vec![fairyforest(scale), atrium(scale), conference(scale)]
@@ -304,7 +307,7 @@ mod tests {
     fn all_returns_three_named_scenes() {
         let scenes = all(SceneScale::Tiny);
         let names: Vec<&str> = scenes.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["fairyforest", "atrium", "conference"]);
+        assert_eq!(names, NAMES);
         for s in &scenes {
             assert!(!s.triangles.is_empty());
             assert!(!s.bounds().is_empty());

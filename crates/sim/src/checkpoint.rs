@@ -67,8 +67,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DMKSNAP\0";
 /// ([`crate::LaneState`]) instead of per-lane option+context records;
 /// 4 — the L1/L2 cache hierarchy joined the payload (cache-geometry
 /// config knobs, per-SM L1 tags + MSHR tables, L2 slices, interconnect
-/// arbiter state, and the L1 columns of the telemetry counters).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// arbiter state, and the L1 columns of the telemetry counters);
+/// 5 — shared and spawn scratchpads stored as runs of non-zero words
+/// instead of full-capacity dumps.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be restored.
 ///
