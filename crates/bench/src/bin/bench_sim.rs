@@ -6,9 +6,12 @@
 //! throughput for each run. Simulated results are bit-identical across
 //! the runs — only wall-clock time changes.
 //!
-//! Also measures checkpoint overhead (`DESIGN.md` §9): snapshot encode,
-//! disk write, and read + restore of a mid-run machine state, so the
-//! cost of `--checkpoint-every` shows up in the recorded numbers.
+//! Also measures checkpoint overhead (`DESIGN.md` §9): one slice
+//! boundary at the default `--checkpoint-every` cadence of a mid-run
+//! machine — the simulate time of the 2000-cycle slice beside the
+//! snapshot encode, frame seal, and durable disk write — plus read +
+//! restore, so the cost of checkpointing shows up in the recorded
+//! numbers.
 //!
 //! Also measures telemetry overhead (`DESIGN.md` §10): the same run with
 //! telemetry disabled at runtime against one with windowed metrics on,
@@ -47,7 +50,8 @@
 use experiments::{gpu_for, gpu_for_with, Scale, Variant};
 use raytrace::scenes;
 use rt_kernels::render::RenderSetup;
-use simt_sim::{Gpu, Snapshot, TelemetrySpec};
+use simt_mem::MemConfig;
+use simt_sim::{write_atomic, Gpu, GpuConfig, Snapshot, TelemetrySpec};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -75,16 +79,22 @@ impl BenchRun {
     }
 }
 
+/// The fig-7 dynamic machine on the cached memory preset
+/// ([`MemConfig::fx5800_cached`]: 16 KiB L1, 512 KiB L2).
+fn cached_config() -> GpuConfig {
+    GpuConfig {
+        mem: MemConfig::fx5800_cached(),
+        ..experiments::config_for(Variant::Dynamic)
+    }
+}
+
 /// One timed fig-7 render. Returns simulated cycles and wall seconds for
 /// the `Gpu::run` call only (scene build and upload are untimed).
 /// `cached` swaps the flat fabric for the L1+L2 hierarchy
-/// (`MemConfig::fx5800_cached` knobs: 16 KiB L1, 512 KiB L2).
+/// ([`cached_config`]).
 fn run_once(parallel: usize, scale: Scale, telemetry: TelemetrySpec, cached: bool) -> BenchRun {
     let mut gpu = if cached {
-        let mut cfg = experiments::config_for(Variant::Dynamic);
-        cfg.mem.l1_bytes = 16 * 1024;
-        cfg.mem.l2_bytes = 512 * 1024;
-        Gpu::builder(cfg).telemetry(telemetry).build()
+        Gpu::builder(cached_config()).telemetry(telemetry).build()
     } else {
         gpu_for_with(Variant::Dynamic, telemetry)
     }
@@ -182,12 +192,7 @@ impl CacheHierarchyBench {
 /// interleaved telemetry A/B as the flat machine so the probe cost on
 /// the cache-enabled path is a recorded number too.
 fn bench_cache_hierarchy(scale: Scale) -> CacheHierarchyBench {
-    let mut gpu = {
-        let mut cfg = experiments::config_for(Variant::Dynamic);
-        cfg.mem.l1_bytes = 16 * 1024;
-        cfg.mem.l2_bytes = 512 * 1024;
-        Gpu::builder(cfg).build()
-    };
+    let mut gpu = Gpu::builder(cached_config()).build();
     let scene = scenes::conference(scale.scene);
     let setup = RenderSetup::upload(&mut gpu, &scene, scale.resolution, scale.resolution);
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
@@ -215,16 +220,37 @@ fn bench_cache_hierarchy(scale: Scale) -> CacheHierarchyBench {
     }
 }
 
+/// The campaign and serve default `--checkpoint-every`: cycles per
+/// supervised slice.
+const SLICE_CYCLES: u64 = 2000;
+
+/// Slice boundaries timed by [`bench_checkpoint`]; each stage reports
+/// its median.
+const SLICE_SAMPLES: usize = 5;
+
 struct CheckpointBench {
     snapshot_bytes: u64,
+    simulate_seconds: f64,
     encode_seconds: f64,
+    seal_seconds: f64,
     write_seconds: f64,
     restore_seconds: f64,
 }
 
-/// Times checkpointing a mid-run fig-7 machine: snapshot encode, disk
-/// write, and read + restore. The restored machine must land on the same
-/// cycle as the original, otherwise the measurement is meaningless.
+/// Median of a small, unsorted sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Times slice boundaries of a mid-run fig-7 machine at the default
+/// cadence: simulating one [`SLICE_CYCLES`] slice, then what the
+/// supervisor does at its end — snapshot encode (on the simulating
+/// thread), frame seal and durable write (on the snapshot writer) —
+/// with each stage the median of [`SLICE_SAMPLES`] consecutive
+/// boundaries. Then read + restore of the last snapshot, which must land
+/// on the same cycle as the original, otherwise the measurement is
+/// meaningless.
 fn bench_checkpoint(scale: Scale) -> CheckpointBench {
     let mut gpu = gpu_for(Variant::Dynamic);
     let scene = scenes::conference(scale.scene);
@@ -232,15 +258,25 @@ fn bench_checkpoint(scale: Scale) -> CheckpointBench {
     setup.launch_ukernel(&mut gpu, scale.threads_per_block);
     gpu.run(scale.cycles / 2).expect("fault-free benchmark run");
 
-    let t = Instant::now();
-    let snap = gpu.checkpoint().expect("snapshot encodes");
-    let encode_seconds = t.elapsed().as_secs_f64();
-
     let path = std::env::temp_dir().join(format!("bench-sim-{}.ckpt", std::process::id()));
-    let t = Instant::now();
-    snap.write_to(&path).expect("snapshot writes");
-    let write_seconds = t.elapsed().as_secs_f64();
-    let snapshot_bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+    let mut stages: [Vec<f64>; 4] = Default::default();
+    let mut snapshot_bytes = 0;
+    for _ in 0..SLICE_SAMPLES {
+        let t = Instant::now();
+        gpu.run(SLICE_CYCLES).expect("fault-free benchmark slice");
+        stages[0].push(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        let snap = gpu.checkpoint().expect("snapshot encodes");
+        stages[1].push(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        let bytes = snap.to_bytes();
+        stages[2].push(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        write_atomic(&path, &bytes).expect("snapshot writes");
+        stages[3].push(t.elapsed().as_secs_f64());
+        snapshot_bytes = bytes.len() as u64;
+    }
+    let [simulate, encode, seal, write] = stages.map(median);
 
     let t = Instant::now();
     let back = Snapshot::read_from(&path).expect("snapshot reads back");
@@ -255,8 +291,10 @@ fn bench_checkpoint(scale: Scale) -> CheckpointBench {
 
     CheckpointBench {
         snapshot_bytes,
-        encode_seconds,
-        write_seconds,
+        simulate_seconds: simulate,
+        encode_seconds: encode,
+        seal_seconds: seal,
+        write_seconds: write,
         restore_seconds,
     }
 }
@@ -515,11 +553,17 @@ fn main() -> ExitCode {
         cache.tel_overhead_pct
     );
 
-    eprintln!("bench_sim: checkpoint write/restore overhead ...");
+    eprintln!("bench_sim: checkpoint slice boundary ({SLICE_CYCLES}-cycle slices) ...");
     let ckpt = bench_checkpoint(scale);
     eprintln!(
-        "  {} snapshot bytes; encode {:.4} s, write {:.4} s, restore {:.4} s",
-        ckpt.snapshot_bytes, ckpt.encode_seconds, ckpt.write_seconds, ckpt.restore_seconds
+        "  {} snapshot bytes; simulate {:.4} s, encode {:.4} s, seal {:.4} s, \
+         write {:.4} s; restore {:.4} s",
+        ckpt.snapshot_bytes,
+        ckpt.simulate_seconds,
+        ckpt.encode_seconds,
+        ckpt.seal_seconds,
+        ckpt.write_seconds,
+        ckpt.restore_seconds
     );
 
     eprintln!("bench_sim: campaign throughput (12-job matrix, test scale) ...");
@@ -657,8 +701,8 @@ fn main() -> ExitCode {
          \"icnt_conflicts\": {}, \"sim_cycles_per_second\": {:.1}, \
          \"telemetry\": {{\"off_seconds\": {:.6}, \"on_seconds\": {:.6}, \
          \"enabled_overhead_pct\": {:.2}}}}},\n",
-        16 * 1024,
-        512 * 1024,
+        cached_config().mem.l1_bytes,
+        cached_config().mem.l2_bytes,
         cache.cycles,
         cache.l1_hits,
         cache.l1_misses,
@@ -675,9 +719,15 @@ fn main() -> ExitCode {
         cache.tel_overhead_pct
     ));
     json.push_str(&format!(
-        "  \"checkpoint\": {{\"snapshot_bytes\": {}, \"encode_seconds\": {:.6}, \
+        "  \"checkpoint\": {{\"snapshot_bytes\": {}, \"slice_cycles\": {SLICE_CYCLES}, \
+         \"simulate_seconds\": {:.6}, \"encode_seconds\": {:.6}, \"seal_seconds\": {:.6}, \
          \"write_seconds\": {:.6}, \"restore_seconds\": {:.6}}},\n",
-        ckpt.snapshot_bytes, ckpt.encode_seconds, ckpt.write_seconds, ckpt.restore_seconds
+        ckpt.snapshot_bytes,
+        ckpt.simulate_seconds,
+        ckpt.encode_seconds,
+        ckpt.seal_seconds,
+        ckpt.write_seconds,
+        ckpt.restore_seconds
     ));
     json.push_str("  \"workload_simd_efficiency\": {\n");
     for (i, (id, rows)) in simd_sections.iter().enumerate() {

@@ -20,14 +20,17 @@
 //!
 //! On-disk snapshots double as crash/kill recovery: `repro --resume`
 //! restores each job from its last snapshot and continues, bit-identical
-//! to an uninterrupted run (see `DESIGN.md` §9).
+//! to an uninterrupted run (see `DESIGN.md` §9). A slice boundary costs
+//! the simulating thread only the snapshot encode: sealing and the
+//! durable write happen on one background writer thread, in order.
 
 use crate::configs::parallelism;
 use simt_sim::{Gpu, ProgressPulse, RunOutcome, RunSummary, Snapshot};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Process exit code used by the deterministic kill test hook
 /// (`--kill-after-checkpoints`), so CI can tell an intentional
@@ -175,10 +178,86 @@ fn snapshot_path(dir: &std::path::Path, job: &str) -> PathBuf {
     dir.join(format!("{safe}.ckpt"))
 }
 
-/// Persists `snap` for `job` when a checkpoint directory is configured.
-/// Write failures are reported and tolerated: losing a checkpoint must
-/// never fail the job it protects. Honours the deterministic kill hook.
-fn persist(job: &str, snap: &Snapshot, pol: &Policy) {
+/// One request to the background snapshot writer.
+enum WriterMsg {
+    /// Seal and write `snap` as `job`'s on-disk snapshot under `pol`.
+    Write {
+        job: String,
+        snap: Arc<Snapshot>,
+        pol: Policy,
+    },
+    /// Acknowledge once every earlier request has been handled.
+    Flush(mpsc::Sender<()>),
+}
+
+/// Hand-off to the background snapshot writer, started on first use.
+///
+/// The channel is a rendezvous (`sync_channel(0)`): a hand-off completes
+/// only when the writer has finished every earlier request and takes
+/// this one. Writes therefore land in FIFO order, at most one snapshot
+/// is in flight, and the files on disk trail the newest snapshot by at
+/// most one slice.
+static WRITER: OnceLock<SyncSender<WriterMsg>> = OnceLock::new();
+
+/// Sends `msg` to the writer, handling it on this thread when there is
+/// no writer to take it.
+fn submit(msg: WriterMsg) {
+    let tx = WRITER.get_or_init(|| {
+        let (tx, rx) = mpsc::sync_channel(0);
+        // A thread that cannot start drops `rx` with its closure: every
+        // send then fails and lands inline below.
+        if let Err(e) = std::thread::Builder::new()
+            .name("snapshot-writer".into())
+            .spawn(move || rx.into_iter().for_each(handle))
+        {
+            eprintln!("warning: no snapshot writer thread ({e}); writing inline");
+        }
+        tx
+    });
+    if let Err(mpsc::SendError(msg)) = tx.send(msg) {
+        handle(msg);
+    }
+}
+
+fn handle(msg: WriterMsg) {
+    match msg {
+        WriterMsg::Write { job, snap, pol } => write_snapshot(&job, &snap, &pol),
+        WriterMsg::Flush(ack) => {
+            let _ = ack.send(());
+        }
+    }
+}
+
+/// Blocks until every snapshot handed to the writer so far is on disk
+/// (or has failed with a warning).
+fn flush_writes() {
+    if WRITER.get().is_none() {
+        return;
+    }
+    let (ack, done) = mpsc::channel();
+    submit(WriterMsg::Flush(ack));
+    let _ = done.recv();
+}
+
+/// Queues `snap` for the writer when a checkpoint directory is
+/// configured. Blocks only while the writer is still busy with the
+/// previous snapshot.
+fn persist(job: &str, snap: &Arc<Snapshot>, pol: &Policy) {
+    if pol.checkpoint_dir.is_some() {
+        submit(WriterMsg::Write {
+            job: job.to_string(),
+            snap: Arc::clone(snap),
+            pol: pol.clone(),
+        });
+    }
+}
+
+/// Seals and durably writes `snap` for `job` (runs on the writer
+/// thread). Write failures are reported and tolerated: losing a
+/// checkpoint must never fail the job it protects. Honours the
+/// deterministic kill hook, which counts completed writes, so the file a
+/// kill leaves behind is exactly the Nth snapshot.
+fn write_snapshot(job: &str, snap: &Snapshot, pol: &Policy) {
     let Some(dir) = &pol.checkpoint_dir else {
         return;
     };
@@ -224,6 +303,7 @@ pub fn try_resume(job: &str) -> Option<Snapshot> {
     if !pol.resume {
         return None;
     }
+    flush_writes();
     let path = snapshot_path(pol.checkpoint_dir.as_deref()?, job);
     if !path.exists() {
         return None;
@@ -241,12 +321,14 @@ pub fn try_resume(job: &str) -> Option<Snapshot> {
 }
 
 /// Removes the on-disk snapshot for `job` (called once a job finishes so
-/// a later `--resume` does not replay a completed job).
+/// a later `--resume` does not replay a completed job), after waiting
+/// for the writer to finish every queued write.
 pub fn clear(job: &str) {
     let pol = policy();
     let Some(dir) = &pol.checkpoint_dir else {
         return;
     };
+    flush_writes();
     let path = snapshot_path(dir, job);
     if path.exists() {
         if let Err(e) = std::fs::remove_file(&path) {
@@ -263,11 +345,12 @@ fn take_snapshot(
     job: &str,
     meta: &[u8],
     pol: &Policy,
-    last_good: &mut Option<Snapshot>,
+    last_good: &mut Option<Arc<Snapshot>>,
 ) {
     match gpu.checkpoint() {
         Ok(mut snap) => {
             snap.set_meta(meta.to_vec());
+            let snap = Arc::new(snap);
             persist(job, &snap, pol);
             *last_good = Some(snap);
         }
@@ -277,7 +360,7 @@ fn take_snapshot(
 
 /// Rolls `gpu` back to `last_good`. Returns false when no usable
 /// snapshot exists (the caller must give up).
-fn rollback(gpu: &mut Gpu, job: &str, last_good: &Option<Snapshot>) -> bool {
+fn rollback(gpu: &mut Gpu, job: &str, last_good: &Option<Arc<Snapshot>>) -> bool {
     let Some(snap) = last_good else {
         eprintln!("warning: {job}: no good snapshot to roll back to");
         return false;
@@ -324,7 +407,7 @@ fn summarize(gpu: &mut Gpu, job: &str) -> RunSummary {
 pub fn run_to_target(gpu: &mut Gpu, target: u64, job: &str, meta: &[u8]) -> Supervised {
     let pol = policy();
     let mut interventions = 0u32;
-    let mut last_good: Option<Snapshot> = None;
+    let mut last_good: Option<Arc<Snapshot>> = None;
     take_snapshot(gpu, job, meta, &pol, &mut last_good);
     loop {
         let now = gpu.now();
@@ -414,6 +497,16 @@ mod tests {
     use super::*;
     use simt_sim::{FaultPolicy, GpuConfig, InjectedFault, Injector, Launch};
 
+    /// Serializes the tests here: they share the process-wide policy,
+    /// and one test's checkpoint directory must not catch another's
+    /// snapshots.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static TESTS: Mutex<()> = Mutex::new(());
+        TESTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn small_gpu() -> Gpu {
         let mut gpu = Gpu::builder(GpuConfig::tiny()).build();
         gpu.mem_mut().alloc_global(256, "out");
@@ -442,6 +535,7 @@ mod tests {
 
     #[test]
     fn policy_lock_recovers_from_poison() {
+        let _serial = serial();
         // A job that panics while holding the policy lock poisons it;
         // later jobs in the same campaign worker must keep working.
         let _ = std::thread::spawn(|| {
@@ -457,6 +551,7 @@ mod tests {
 
     #[test]
     fn clean_run_needs_no_intervention() {
+        let _serial = serial();
         let mut gpu = small_gpu();
         let s = run_to_target(&mut gpu, 10_000, "test-clean", &[]);
         assert_eq!(s.interventions, 0);
@@ -466,6 +561,7 @@ mod tests {
 
     #[test]
     fn sliced_run_matches_unsliced() {
+        let _serial = serial();
         // A run sliced at a checkpoint interval is bit-identical to an
         // uninterrupted run of the same machine.
         let mut reference = small_gpu();
@@ -492,6 +588,7 @@ mod tests {
 
     #[test]
     fn deterministic_fault_exhausts_retries_and_gives_up() {
+        let _serial = serial();
         // An injected trap under Abort recurs on every deterministic
         // retry; the supervisor must bound the retries and give up with
         // figures from the last good snapshot instead of panicking.
@@ -535,6 +632,7 @@ mod tests {
 
     #[test]
     fn snapshot_files_roundtrip_and_clear() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("sup-test-{}", std::process::id()));
         set_policy(Policy {
             checkpoint_every: 5,
@@ -550,6 +648,29 @@ mod tests {
         assert!(restored.now() <= gpu.now());
         clear("test-disk");
         assert!(try_resume("test-disk").is_none());
+        set_policy(Policy::default());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clear_waits_for_the_queued_write() {
+        // `persist` returns once the writer has taken the snapshot, not
+        // once it is on disk: a `clear` that did not wait would miss the
+        // file and let the writer's rename leave it behind.
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!("sup-flush-{}", std::process::id()));
+        let pol = Policy {
+            checkpoint_dir: Some(dir.clone()),
+            ..Policy::default()
+        };
+        set_policy(pol.clone());
+        let snap = Arc::new(small_gpu().checkpoint().expect("snapshot encodes"));
+        for _ in 0..3 {
+            persist("test-flush", &snap, &pol);
+            clear("test-flush");
+            let left = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+            assert_eq!(left, 0, "clear leaves no snapshot or temp file");
+        }
         set_policy(Policy::default());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -33,18 +33,19 @@ fn serial_bytes(artifact: &str) -> Vec<u8> {
 struct Server {
     child: Child,
     serve_dir: PathBuf,
+    log: PathBuf,
 }
 
 impl Server {
     fn start(serve_dir: &Path, extra: &[&str]) -> Server {
-        let log = std::fs::File::create(serve_dir.join(format!(
+        let log_path = serve_dir.join(format!(
             "serve-{}.log",
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_millis())
                 .unwrap_or(0)
-        )))
-        .expect("server log file");
+        ));
+        let log = std::fs::File::create(&log_path).expect("server log file");
         let child = Command::new(REPRO)
             .args([
                 "serve",
@@ -63,6 +64,29 @@ impl Server {
         Server {
             child,
             serve_dir: serve_dir.to_path_buf(),
+            log: log_path,
+        }
+    }
+
+    /// Pid of the first worker process this incarnation started for
+    /// `job`, read from its `attempt 1 started (worker pid N, ...)` log
+    /// line once that line appears.
+    fn first_worker_pid(&self, job: &str) -> u32 {
+        let tag = format!("campaign: {job}: attempt 1 started (worker pid ");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let log = std::fs::read_to_string(&self.log).unwrap_or_default();
+            let pid = log
+                .lines()
+                .find_map(|l| l.strip_prefix(&tag)?.split(',').next()?.parse::<u32>().ok());
+            if let Some(pid) = pid {
+                return pid;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no worker pid logged for {job}:\n{log}"
+            );
+            std::thread::sleep(Duration::from_millis(50));
         }
     }
 
@@ -152,7 +176,15 @@ fn kill9_recovery_replays_journal_and_matches_serial_bytes() {
         .expect("job id")
         .to_string();
     std::thread::sleep(Duration::from_millis(500));
+    let hung_worker = server.first_worker_pid("fig7");
     server.kill9();
+    // SIGKILL reaches only the server: its hung fig7 worker is
+    // reparented, not signalled, and would outlive the test.
+    let killed = Command::new("kill")
+        .args(["-9", &hung_worker.to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success(), "orphaned worker {hung_worker} killed");
 
     // Restart on the same serve dir — WITHOUT the hang hook, so the
     // replayed job can actually run. Journal replay must resubmit fig7

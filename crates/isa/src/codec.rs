@@ -159,8 +159,10 @@ impl Encoder {
     /// Appends a length-prefixed slice of `u32` words.
     pub fn put_u32_slice(&mut self, words: &[u32]) {
         self.put_usize(words.len());
-        for &w in words {
-            self.put_u32(w);
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * words.len(), 0);
+        for (out, w) in self.buf[start..].chunks_exact_mut(4).zip(words) {
+            out.copy_from_slice(&w.to_le_bytes());
         }
     }
 

@@ -232,18 +232,36 @@ impl OnChipMemory {
     }
 }
 
+/// Words per chunk of the run scan in [`nonzero_runs`].
+const RUN_CHUNK: usize = 16;
+
 /// Maximal runs of non-zero words, in index order.
+///
+/// Scans 16-word chunks word-parallel: a chunk that is all zero outside
+/// a run, or all non-zero inside one, cannot start or end a run and is
+/// skipped whole. Only chunks that hold a run boundary are walked word
+/// by word.
 fn nonzero_runs(words: &[u32]) -> Vec<Range<usize>> {
     let mut runs = Vec::new();
     let mut start = None;
-    for (i, &w) in words.iter().enumerate() {
-        match (w != 0, start) {
-            (true, None) => start = Some(i),
-            (false, Some(s)) => {
-                runs.push(s..i);
-                start = None;
+    for (c, chunk) in words.chunks(RUN_CHUNK).enumerate() {
+        let skip = if start.is_some() {
+            !chunk.iter().fold(false, |any, &w| any | (w == 0))
+        } else {
+            chunk.iter().fold(0, |acc, &w| acc | w) == 0
+        };
+        if skip {
+            continue;
+        }
+        for (j, &w) in chunk.iter().enumerate() {
+            match (w != 0, start) {
+                (true, None) => start = Some(c * RUN_CHUNK + j),
+                (false, Some(s)) => {
+                    runs.push(s..c * RUN_CHUNK + j);
+                    start = None;
+                }
+                _ => {}
             }
-            _ => {}
         }
     }
     if let Some(s) = start {
@@ -406,7 +424,87 @@ mod tests {
         ));
     }
 
+    /// The plain per-word scan [`nonzero_runs`] replaced: the oracle its
+    /// chunked output must equal exactly.
+    fn nonzero_runs_per_word(words: &[u32]) -> Vec<Range<usize>> {
+        let mut runs = Vec::new();
+        let mut start = None;
+        for (i, &w) in words.iter().enumerate() {
+            match (w != 0, start) {
+                (true, None) => start = Some(i),
+                (false, Some(s)) => {
+                    runs.push(s..i);
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(s) = start {
+            runs.push(s..words.len());
+        }
+        runs
+    }
+
+    #[test]
+    fn run_scan_handles_chunk_boundaries() {
+        // Runs that start, end or span exactly at 16-word chunk edges,
+        // whole non-zero chunks, and a ragged tail.
+        let cases: [(usize, &[(usize, usize)]); 8] = [
+            (64, &[]),
+            (64, &[(0, 64)]),
+            (40, &[(15, 17)]),
+            (48, &[(0, 16), (32, 48)]),
+            (48, &[(0, 16), (17, 48)]),
+            (50, &[(16, 32), (33, 34), (49, 50)]),
+            (37, &[(1, 36)]),
+            (7, &[(0, 3), (6, 7)]),
+        ];
+        for (len, runs) in cases {
+            let want: Vec<Range<usize>> = runs.iter().map(|&(s, e)| s..e).collect();
+            let mut words = vec![0u32; len];
+            for run in &want {
+                for w in &mut words[run.clone()] {
+                    *w = 9;
+                }
+            }
+            assert_eq!(nonzero_runs(&words), want, "{len} words, runs {want:?}");
+            assert_eq!(nonzero_runs_per_word(&words), want);
+        }
+    }
+
     proptest! {
+        #[test]
+        fn chunked_run_scan_matches_per_word_scan(
+            mode in 0u32..4,
+            raw in proptest::collection::vec(any::<u32>(), 0..400),
+            segments in proptest::collection::vec(0usize..10, 0..24),
+            lead_nonzero in any::<bool>(),
+        ) {
+            // Mode 0: all zero; 1: all non-zero; 2: sparse (about one word
+            // in four); 3: alternating zero / non-zero segments with
+            // lengths near multiples of the 16-word chunk, so runs start
+            // and end on either side of chunk edges, fill whole chunks,
+            // and touch either end.
+            const LENGTHS: [usize; 10] = [1, 2, 3, 15, 16, 17, 31, 32, 33, 47];
+            let words: Vec<u32> = match mode {
+                0 => vec![0; raw.len()],
+                1 => raw.iter().map(|&v| v | 1).collect(),
+                2 => raw
+                    .iter()
+                    .map(|&v| if v % 4 == 0 { v | 1 } else { 0 })
+                    .collect(),
+                _ => segments
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(k, &len)| {
+                        let fill = u32::from((k % 2 == 0) == lead_nonzero);
+                        std::iter::repeat_n(fill, LENGTHS[len])
+                    })
+                    .collect(),
+            };
+            prop_assert_eq!(nonzero_runs(&words), nonzero_runs_per_word(&words));
+        }
+
         #[test]
         fn onchip_state_roundtrips(
             mode in 0u32..3,

@@ -220,14 +220,16 @@ impl Snapshot {
 /// by [`open_frame`] with the same magic and version; every truncation
 /// and bit flip is rejected by the trailing FNV-1a-64 checksum.
 pub fn seal_frame(magic: &[u8; 8], version: u32, meta: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(version);
-    enc.put_bytes(meta);
-    enc.put_bytes(payload);
-    let body = enc.into_bytes();
-    let mut bytes = Vec::with_capacity(magic.len() + body.len() + 8);
+    // The codec's layout (`put_u32` version, then each section as
+    // `put_bytes`: u64 length + bytes) written straight into one buffer
+    // sized for the whole frame, so the payload is copied exactly once.
+    let mut bytes = Vec::with_capacity(magic.len() + 4 + 8 + meta.len() + 8 + payload.len() + 8);
     bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(&body);
+    bytes.extend_from_slice(&version.to_le_bytes());
+    for section in [meta, payload] {
+        bytes.extend_from_slice(&(section.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(section);
+    }
     let checksum = fnv1a64(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
@@ -690,6 +692,56 @@ mod tests {
                 open_frame(&MAGIC, 1, &corrupt).is_err(),
                 "bit flip at byte {i} was accepted"
             );
+        }
+    }
+
+    /// Lowercase hex of `bytes`.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn sealed_frames_are_pinned_byte_for_byte() {
+        // Captured from the two-pass `seal_frame` this one-copy version
+        // replaced, for every frame kind on disk: snapshots, campaign
+        // results (`DMKRSLT`, v1) and serve journal entries (`DMKJOB`,
+        // v1). Any change here breaks every existing file.
+        let payload: Vec<u8> = (0u8..16).collect();
+        let big_meta: Vec<u8> = (0..37u32).map(|i| (i * 7 + 3) as u8).collect();
+        let big_payload: Vec<u8> = (0..4099u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let pins: [(&[u8; 8], u32, &str, &str, u64); 3] = [
+            (
+                &SNAPSHOT_MAGIC,
+                5,
+                "444d4b534e4150000500000004000000000000006d657461100000000000000000\
+                 0102030405060708090a0b0c0d0e0f8d431c8032a5cb18",
+                "444d4b534e41500005000000000000000000000000000000000000005c336173f5f011fc",
+                0x218e_b1f1_fab0_9082,
+            ),
+            (
+                b"DMKRSLT\0",
+                1,
+                "444d4b52534c54000100000004000000000000006d657461100000000000000000\
+                 0102030405060708090a0b0c0d0e0f3876ccb70660401b",
+                "444d4b52534c54000100000000000000000000000000000000000000d1ad16a400d0e075",
+                0xf5dd_8d4f_61d7_6261,
+            ),
+            (
+                b"DMKJOB\0\0",
+                1,
+                "444d4b4a4f4200000100000004000000000000006d657461100000000000000000\
+                 0102030405060708090a0b0c0d0e0f72e7f738068cdefd",
+                "444d4b4a4f4200000100000000000000000000000000000000000000cb613181fb17d2f7",
+                0x1741_d89b_8af5_3d28,
+            ),
+        ];
+        for (magic, version, small, empty, big_fnv) in pins {
+            assert_eq!(hex(&seal_frame(magic, version, b"meta", &payload)), small);
+            assert_eq!(hex(&seal_frame(magic, version, &[], &[])), empty);
+            let big = seal_frame(magic, version, &big_meta, &big_payload);
+            assert_eq!((big.len(), fnv1a64(&big)), (4172, big_fnv));
         }
     }
 
